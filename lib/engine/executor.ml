@@ -13,6 +13,19 @@ open Sedna_core
 open Xdm
 module Ast = Sedna_xquery.Xq_ast
 
+(* The build side of a transient hash probe: every string value of the
+   key path maps to the scanned nodes filed under it, as (scan ordinal,
+   descriptor) pairs in document order. *)
+type join_table = {
+  scanned : int;
+  buckets : (string, (int * Node.desc) list) Hashtbl.t;
+}
+
+(* Per-statement memo of built tables, keyed by the physical probe node.
+   Never stored in the plan, so a cached plan re-run after an update
+   rebuilds from current data. *)
+type join_memo = (Ast.index_probe * join_table) list ref
+
 type ctx = {
   st : Store.t;
   vars : (string * value) list;
@@ -22,7 +35,10 @@ type ctx = {
   size : int Lazy.t;
   virtual_ok : bool;
   prof : Profiler.t option;
+  joins : join_memo;
 }
+
+let new_joins () : join_memo = ref []
 
 let initial_ctx ?(vars = []) ?(funcs = []) (st : Store.t) =
   {
@@ -34,6 +50,7 @@ let initial_ctx ?(vars = []) ?(funcs = []) (st : Store.t) =
     size = lazy 0;
     virtual_ok = false;
     prof = None;
+    joins = new_joins ();
   }
 
 let dynamic_error fmt = Error.raise_error Error.Xquery_dynamic fmt
@@ -185,6 +202,72 @@ let descendant_step ctx (test : Ast.node_test) (n : node) : node Seq.t =
     Seq.map (fun x -> Stored x) (Traverse.descendants_schema ctx.st ~test:tt d)
   | _ ->
     Seq.filter (test_matches ctx test) (axis_seq ctx Ast.Descendant n)
+
+(* Descriptors of a structural path below doc(doc_name), resolved on
+   the descriptive schema: merged block-chain scans in document order,
+   never touching non-matching nodes (paper §5.1.4). *)
+let schema_scan (st : Store.t) (doc_name : string)
+    (steps : (Ast.axis * Xname.t) list) : Node.desc Seq.t =
+  let doc = Catalog.get_document st.Store.cat doc_name in
+  let root_snode = Catalog.snode_by_id st.Store.cat doc.Catalog.schema_root_id in
+  let final =
+    Catalog.resolve_steps st.Store.cat ~root:root_snode
+      (List.map (fun (axis, name) -> (axis = Ast.Descendant, name)) steps)
+  in
+  match List.map (fun s -> Traverse.scan_snode st s) final with
+  | [] -> Seq.empty
+  | [ one ] -> one
+  | seqs -> Traverse.merge_by_doc_order st seqs
+
+(* Nodes a hash probe's key path reaches from [d]: child elements, then
+   optionally a final "@attr".  Names match by local part, a superset of
+   what the query's name tests select; the residual predicate filters
+   the rest. *)
+let rec key_nodes st (d : Node.desc) (path : string list) : Node.desc list =
+  match path with
+  | [] -> [ d ]
+  | step :: rest ->
+    let attr = String.length step > 0 && step.[0] = '@' in
+    let want = if attr then String.sub step 1 (String.length step - 1) else step in
+    let named c =
+      match Node.name st c with
+      | Some n -> String.equal (Xname.local n) want
+      | None -> false
+    in
+    (if attr then Node.attributes st d
+     else List.filter (fun c -> Node.kind st c = Catalog.Element) (Node.children st d))
+    |> List.filter named
+    |> List.concat_map (fun c -> key_nodes st c rest)
+
+(* The table of a transient hash probe, built on first use in the
+   statement: one scan of the build side, each node filed under every
+   string value its key path reaches (once per distinct value). *)
+let join_table ctx (p : Ast.index_probe) scan key_path : join_table =
+  match List.assq_opt p !(ctx.joins) with
+  | Some t -> t
+  | None ->
+    let st = ctx.st in
+    let buckets = Hashtbl.create 256 in
+    let scanned = ref 0 in
+    Seq.iter
+      (fun d ->
+        Deadline.check ();
+        incr scanned;
+        let ord = !scanned in
+        List.iter
+          (fun k ->
+            let key = Node_ser.string_value st k in
+            match Hashtbl.find_opt buckets key with
+            | Some ((o, _) :: _) when o = ord -> () (* d already filed here *)
+            | Some b -> Hashtbl.replace buckets key ((ord, d) :: b)
+            | None -> Hashtbl.add buckets key [ (ord, d) ])
+          (key_nodes st d key_path))
+      (schema_scan st p.Ast.ip_doc scan);
+    Hashtbl.filter_map_inplace (fun _ b -> Some (List.rev b)) buckets;
+    Counters.bump Counters.hash_build;
+    let t = { scanned = !scanned; buckets } in
+    ctx.joins := (p, t) :: !(ctx.joins);
+    t
 
 (* ---- DDO ------------------------------------------------------------------- *)
 
@@ -493,35 +576,33 @@ and pred_holds ctx (pred : Ast.expr) : bool =
 
 and eval_schema_path ctx (doc_name : string) (steps : (Ast.axis * Xname.t) list)
     : item Seq.t =
-  let st = ctx.st in
-  let doc = Catalog.get_document st.Store.cat doc_name in
-  let root_snode = Catalog.snode_by_id st.Store.cat doc.Catalog.schema_root_id in
-  (* resolve the step names against the schema tree: this happens in
-     main memory, no data block is touched (paper §5.1.4) *)
-  let final =
-    Catalog.resolve_steps st.Store.cat ~root:root_snode
-      (List.map (fun (axis, name) -> (axis = Ast.Descendant, name)) steps)
-  in
-  let seqs = List.map (fun s -> Traverse.scan_snode st s) final in
-  let merged =
-    match seqs with
-    | [] -> Seq.empty
-    | [ one ] -> one
-    | seqs -> Traverse.merge_by_doc_order st seqs
-  in
-  Seq.map (fun d -> N (Stored d)) merged
+  Seq.map (fun d -> N (Stored d)) (schema_scan ctx.st doc_name steps)
 
-(* ---- automatic index selection: the physical probe ------------------------------- *)
+(* ---- rule 7's physical probes ------------------------------------------------------ *)
 
-(* Evaluate a probe produced by the rewriter: look the key(s) up in the
-   B-tree, then re-apply the original predicate to every candidate (it
-   filters index false positives and enforces strict bounds).  When the
-   index is unusable at run time — dropped since compilation, or the
-   key is of an atomic kind whose comparison order differs from the
-   index's key order — fall back to the unrewritten path. *)
 and eval_index_probe ctx (p : Ast.index_probe) : item Seq.t =
+  match p.Ast.ip_source with
+  | Ast.Btree_index name -> eval_btree_probe ctx p name
+  | Ast.Transient_hash { th_scan; th_key_path } ->
+    eval_hash_probe ctx p th_scan th_key_path
+
+(* Re-apply the original predicate to every candidate: it filters false
+   positives and enforces strict bounds. *)
+and residual_filter ctx (p : Ast.index_probe) (cands : Node.desc Seq.t) :
+    item Seq.t =
+  cands
+  |> Seq.filter (fun d ->
+         let ctx' = { ctx with item = Some (N (Stored d)); pos = 1; size = lazy 1 } in
+         pred_holds ctx' p.Ast.ip_residual)
+  |> Seq.map (fun d -> N (Stored d))
+
+(* Look the key(s) up in the B-tree.  When the index is unusable at run
+   time — dropped since compilation, or the key is of an atomic kind
+   whose comparison order differs from the index's key order — fall
+   back to the unrewritten path. *)
+and eval_btree_probe ctx (p : Ast.index_probe) (name : string) : item Seq.t =
   let st = ctx.st in
-  match Catalog.find_index st.Store.cat p.Ast.ip_index with
+  match Catalog.find_index st.Store.cat name with
   | None -> eval ctx p.Ast.ip_fallback
   | Some def ->
     let keys = List.map (atomize st) (List.of_seq (eval ctx p.Ast.ip_key)) in
@@ -558,15 +639,41 @@ and eval_index_probe ctx (p : Ast.index_probe) : item Seq.t =
          the same node through several keys: collapse before the residual
          runs; a surviving DDO above restores document order *)
       let handles = List.sort_uniq compare (List.concat_map handles_for keys) in
-      List.to_seq handles
-      |> Seq.map (fun h -> Indirection.get st.Store.bm h)
-      |> Seq.filter (fun d ->
-             let ctx' =
-               { ctx with item = Some (N (Stored d)); pos = 1; size = lazy 1 }
-             in
-             pred_holds ctx' p.Ast.ip_residual)
-      |> Seq.map (fun d -> N (Stored d))
+      residual_filter ctx p
+        (Seq.map (fun h -> Indirection.get st.Store.bm h) (List.to_seq handles))
     end
+
+(* A correlated general [=]: the first time the probe is forced in this
+   statement, scan its build side once and file every node under each
+   string value of its key path; every evaluation then looks its keys
+   up.  Against a string or untyped key, an untyped key-path value
+   compares as a string, so the table finds exactly the nodes the
+   nested loop would.  Keys of any other kind (numeric, boolean) take
+   the unrewritten path, which keeps untyped-to-double promotion and
+   "NaN never joins" as the nested loop gives them. *)
+and eval_hash_probe ctx (p : Ast.index_probe) scan key_path : item Seq.t =
+ fun () ->
+  let t = join_table ctx p scan key_path in
+  (* an empty build side: the nested loop would not evaluate the key *)
+  if t.scanned = 0 then Seq.Nil
+  else
+    let keys = List.map (atomize ctx.st) (List.of_seq (eval ctx p.Ast.ip_key)) in
+    let is_string = function AStr _ | AUntyped _ -> true | _ -> false in
+    if not (List.for_all is_string keys) then eval ctx p.Ast.ip_fallback ()
+    else
+      let bucket a =
+        Option.value ~default:[] (Hashtbl.find_opt t.buckets (string_of_atomic a))
+      in
+      let cands =
+        match keys with
+        | [ k ] -> bucket k
+        | keys ->
+          (* several keys may reach one node: merge by scan ordinal *)
+          List.sort_uniq
+            (fun (a, _) (b, _) -> Int.compare a b)
+            (List.concat_map bucket keys)
+      in
+      residual_filter ctx p (Seq.map snd (List.to_seq cands)) ()
 
 (* ---- FLWOR ------------------------------------------------------------------------ *)
 

@@ -7,6 +7,10 @@
     rewriter (§5.1.4) — resolve against the descriptive schema in main
     memory and become merged block-chain scans. *)
 
+type join_memo
+(** Build sides of the statement's transient hash probes
+    ({!Sedna_xquery.Xq_ast.Transient_hash}), keyed by probe node. *)
+
 type ctx = {
   st : Sedna_core.Store.t;
   vars : (string * Xdm.value) list;
@@ -20,13 +24,22 @@ type ctx = {
   prof : Profiler.t option;
       (** operator-level profiling context ([Session.profile]); [None]
           keeps evaluation on the unobserved path *)
+  joins : join_memo;
+      (** hash tables built so far in this statement; shared by every
+          context derived from the statement's initial one *)
 }
+
+val new_joins : unit -> join_memo
+(** An empty memo: evaluation after a modification of the store (an
+    update's per-target [with] expression) must not reuse tables built
+    before it. *)
 
 val initial_ctx :
   ?vars:(string * Xdm.value) list ->
   ?funcs:(string * Sedna_xquery.Xq_ast.fun_def) list ->
   Sedna_core.Store.t ->
   ctx
+(** A fresh context for one statement, with an empty {!join_memo}. *)
 
 val eval : ctx -> Sedna_xquery.Xq_ast.expr -> Xdm.item Seq.t
 (** Evaluate an expression (after static analysis and rewriting). *)

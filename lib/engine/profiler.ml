@@ -106,8 +106,14 @@ let label_of (e : Ast.expr) : string option =
                (fun (a, n) ->
                  Printf.sprintf "/%s::%s" (Pp.axis_name a) (Xname.to_string n))
                steps)))
-  | Ast.Index_probe p ->
-    Some (Printf.sprintf "index-probe %S %s" p.Ast.ip_index (probe_mode_name p.Ast.ip_mode))
+  | Ast.Index_probe p -> (
+    let mode = probe_mode_name p.Ast.ip_mode in
+    match p.Ast.ip_source with
+    | Ast.Btree_index name -> Some (Printf.sprintf "index-probe %S %s" name mode)
+    | Ast.Transient_hash { th_key_path; _ } ->
+      Some
+        (Printf.sprintf "hash-probe by %s %s"
+           (String.concat "/" th_key_path) mode))
   | Ast.Filter _ -> Some "filter"
   | Ast.Flwor _ -> Some "flwor"
   | Ast.Quantified (Ast.Some_q, _, _) -> Some "some"

@@ -236,6 +236,9 @@ let execute (ctx : Executor.ctx) (u : Ast.update_stmt) : int =
               ctx with
               Executor.vars = (v, [ Xdm.N (Xdm.Stored d) ]) :: ctx.Executor.vars;
               Executor.virtual_ok = true;
+              (* earlier targets' replacements may have changed (and
+                 moved) what a hash probe's build side holds *)
+              Executor.joins = Executor.new_joins ();
             }
           in
           let items = List.of_seq (Executor.eval ctx' with_e) in

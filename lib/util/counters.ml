@@ -87,6 +87,7 @@ let page_writes = "disk.write"
 let plan_hit = "plan.hit"
 let plan_miss = "plan.miss"
 let index_probe = "index.probe"
+let hash_build = "join.hash_build"
 let fault_injected = "fault.injected"
 let checksum_verify = "checksum.verify"
 let checksum_adopt = "checksum.adopt"

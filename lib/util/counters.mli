@@ -59,6 +59,10 @@ val plan_miss : string
 val index_probe : string
 (** A value predicate answered from a B-tree index instead of a scan. *)
 
+val hash_build : string
+(** A transient hash probe built its table: one scan of the join's
+    inner path, at most once per probe node and statement. *)
+
 val fault_injected : string
 (** An armed {!Fault} site fired (fail, crash or torn write). *)
 

@@ -17,7 +17,12 @@
       to schema-resolved scans executed against the descriptive schema.
    5. Virtual element constructors (§5.2.1): constructors whose results
       are never navigated against identity/parent/order are marked
-      virtual so the executor can avoid deep copies. *)
+      virtual so the executor can avoid deep copies.
+   6. User-function inlining (§5.1's reference [11]).
+   7. Automatic index selection: a value predicate over a structural
+      path becomes a B-tree probe, or — for a correlated general [=]
+      with no covering index — a probe of a hash table built once per
+      statement (see [try_index_rewrite]). *)
 
 open Xq_ast
 
@@ -150,6 +155,10 @@ let rec props_of (env : venv) (e : expr) : props =
     let p = props_of env x in
     { in_ddo = true; disjoint = false; single = p.single }
   | Schema_path _ -> { in_ddo = true; disjoint = false; single = false }
+  | Index_probe { ip_source = Transient_hash _; ip_fallback; _ } ->
+    (* hash candidates come back in document order without duplicates;
+       the scan fallback is the unrewritten path *)
+    props_of env ip_fallback
   | Index_probe _ ->
     (* B-tree order, not document order; multi-key probes may duplicate *)
     { in_ddo = false; disjoint = false; single = false }
@@ -530,8 +539,13 @@ let structural_prefix (steps : step list) :
    - the schema nodes the path reaches at that step hold enough data
      nodes for pushdown to pay (cardinality gate on
      [Catalog.node_count]); and
-   - some index on D covers exactly those schema nodes with the same
-     key path and a kind compatible with the comparison's probe mode.
+   - either some index on D covers exactly those schema nodes with the
+     same key path and a kind compatible with the comparison's probe
+     mode, or the comparison is a general [=] whose key references a
+     variable bound outside the path (a correlated value join): then
+     the probe's source is a transient hash table the executor builds
+     once per statement.  An uncorrelated key without an index stays a
+     scan — it is evaluated once, so a build side would not pay.
    Steps after the predicate step are re-applied on top of the probe.
    The original predicate is kept as a residual filter, and the
    unrewritten path as a runtime fallback, so the probe is always
@@ -589,31 +603,46 @@ let try_index_rewrite (cat : Sedna_core.Catalog.t) (opts : options)
             if total < opts.index_min_count then None
             else
               let qids = List.map (fun (s : C.snode) -> s.C.id) qset in
-              C.indexes_for_document cat doc_name
-              |> List.find_map (fun (def : C.index_def) ->
-                     if
-                       def.C.idx_key_path = key_path
-                       && mode_fits_kind def.C.idx_kind mode
-                       && List.map
-                            (fun (s : C.snode) -> s.C.id)
-                            (C.index_target_snodes cat def)
-                          = qids
-                     then
-                       let probe =
-                         Index_probe
-                           {
-                             ip_index = def.C.idx_name;
-                             ip_doc = doc_name;
-                             ip_mode = mode;
-                             ip_key = key_expr;
-                             ip_residual = pred;
-                             ip_fallback =
-                               Path (init, prefix_steps @ [ probe_step ]);
-                           }
-                       in
-                       Some
-                         (if suffix = [] then probe else Path (probe, suffix))
-                     else None)
+              let btree =
+                C.indexes_for_document cat doc_name
+                |> List.find_map (fun (def : C.index_def) ->
+                       if
+                         def.C.idx_key_path = key_path
+                         && mode_fits_kind def.C.idx_kind mode
+                         && List.map
+                              (fun (s : C.snode) -> s.C.id)
+                              (C.index_target_snodes cat def)
+                            = qids
+                       then Some (Btree_index def.C.idx_name)
+                       else None)
+              in
+              let source =
+                match btree with
+                | Some _ -> btree
+                | None when op = Gen_eq && free_vars key_expr <> [] ->
+                  Some
+                    (Transient_hash
+                       {
+                         th_scan = prefix @ [ (probe_axis, probe_name) ];
+                         th_key_path = key_path;
+                       })
+                | None -> None
+              in
+              Option.map
+                (fun ip_source ->
+                  let probe =
+                    Index_probe
+                      {
+                        ip_source;
+                        ip_doc = doc_name;
+                        ip_mode = mode;
+                        ip_key = key_expr;
+                        ip_residual = pred;
+                        ip_fallback = Path (init, prefix_steps @ [ probe_step ]);
+                      }
+                  in
+                  if suffix = [] then probe else Path (probe, suffix))
+                source
           end)
       | _ -> None)
     | _ -> None)

@@ -20,7 +20,9 @@
        are never navigated are marked so the executor avoids deep
        copies.
     6. {b Function inlining} (§5.1's reference [11]): calls to
-       non-recursive prolog functions become let-bound body copies. *)
+       non-recursive prolog functions become let-bound body copies.
+    7. {b Index selection and hash joins} (beyond the paper): see
+       [use_indexes] below. *)
 
 type options = {
   remove_ddo : bool;
@@ -30,13 +32,21 @@ type options = {
   virtual_constructors : bool;
   inline_functions : bool;
   use_indexes : bool;
-      (** rule 7: rewrite selective value predicates over structural
-          paths into B-tree index probes ({!Xq_ast.Index_probe}) when a
-          matching index exists; needs the [?catalog] argument of
-          {!rewrite_with} *)
+      (** rule 7: rewrite value predicates over structural paths into
+          probes ({!Xq_ast.Index_probe}).  The source is a B-tree when
+          a matching index exists.  Without one, a general [=] whose
+          key references a variable bound outside the path (the inner
+          side of a correlated value join such as
+          [for $a in ... for $i in doc("a")//item[@id = string($a/itemref)]])
+          probes a transient hash table ({!Xq_ast.Transient_hash}) that
+          the executor builds from one scan of the path per statement,
+          instead of rescanning the path for every outer tuple.  An
+          uncorrelated key without an index stays a scan.  Needs the
+          [?catalog] argument of {!rewrite_with} *)
   index_min_count : int;
-      (** cardinality gate for rule 7: pushdown only when the candidate
-          schema nodes together hold at least this many data nodes *)
+      (** cardinality gate for rule 7 (both sources): a probe only when
+          the candidate schema nodes together hold at least this many
+          data nodes *)
 }
 
 val default_options : options

@@ -79,9 +79,11 @@ type expr =
     (* structural location path resolved against the descriptive schema
        (rewriter §5.1.4): document name + descending name steps *)
   | Index_probe of index_probe
-    (* physical plan node produced by the rewriter's automatic index
-       selection: a selective value predicate over a structural path is
-       answered from a B-tree value index instead of a block-chain scan *)
+    (* physical plan node produced by the rewriter's rule 7: a value
+       predicate over a structural path is answered from a B-tree value
+       index, or — for a correlated equi-join key — from a hash table
+       built once per statement, instead of a block-chain scan per
+       evaluation *)
   | Virtual_constr of expr
     (* a constructor whose result is never navigated against identity /
        parent / order: may reference stored content instead of deep-
@@ -94,17 +96,33 @@ type expr =
 and step = { axis : axis; test : node_test; preds : expr list }
 
 and index_probe = {
-  ip_index : string; (* index name in the catalog *)
-  ip_doc : string; (* document the index covers (for lock inference) *)
+  ip_source : probe_source;
+  ip_doc : string; (* document the probed path reads (for lock inference) *)
   ip_mode : probe_mode;
   ip_key : expr; (* probe key; context-free by construction *)
   ip_residual : expr;
     (* the original predicate, re-applied to every candidate: filters
        index false positives and enforces strict bounds *)
   ip_fallback : expr;
-    (* the unrewritten path, evaluated when the index is unusable at
-       run time (dropped, or key of an incompatible atomic kind) *)
+    (* the unrewritten path, evaluated when the source is unusable at
+       run time (index dropped, or key of an incompatible atomic kind) *)
 }
+
+and probe_source =
+  | Btree_index of string (* name of a catalog value index *)
+  | Transient_hash of {
+      th_scan : (axis * Xname.t) list;
+        (* the predicate-free structural path below doc(ip_doc) whose
+           nodes form the build side (a Schema_path) *)
+      th_key_path : string list;
+        (* relative key path (child names, optionally a final "@attr"):
+           each build node is filed under the string value of every
+           node it reaches *)
+    }
+    (* a general [=] whose key references variables bound outside the
+       path and no index covers: the executor scans [th_scan] once per
+       statement into a hash table keyed by string value and probes it
+       for every evaluation *)
 
 and probe_mode = Probe_eq | Probe_ge | Probe_le | Probe_gt | Probe_lt
 

@@ -43,6 +43,12 @@ let binop_name = function
   | Is -> "is" | Precedes -> "<<" | Follows -> ">>"
   | Union -> "union" | Intersect -> "intersect" | Except -> "except"
 
+let schema_steps steps =
+  String.concat "/"
+    (List.map
+       (fun (a, n) -> Printf.sprintf "%s::%s" (axis_name a) (Sedna_util.Xname.to_string n))
+       steps)
+
 let rec pp ?(indent = 0) buf (e : expr) =
   let pad = String.make (2 * indent) ' ' in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (pad ^ s ^ "\n")) fmt in
@@ -97,21 +103,26 @@ let rec pp ?(indent = 0) buf (e : expr) =
     child a
   | Schema_path (doc, steps) ->
     line "SCHEMA-PATH doc(%S) %s  (resolved on the descriptive schema)" doc
-      (String.concat "/"
-         (List.map
-            (fun (a, n) ->
-              Printf.sprintf "%s::%s" (axis_name a) (Sedna_util.Xname.to_string n))
-            steps))
+      (schema_steps steps)
   | Index_probe p ->
-    line "INDEX-PROBE %S mode=%s  (automatic index selection, doc %S)"
-      p.ip_index
-      (match p.ip_mode with
-       | Probe_eq -> "EQ"
-       | Probe_ge -> "GE"
-       | Probe_le -> "LE"
-       | Probe_gt -> "GT"
-       | Probe_lt -> "LT")
-      p.ip_doc;
+    let mode =
+      match p.ip_mode with
+      | Probe_eq -> "EQ"
+      | Probe_ge -> "GE"
+      | Probe_le -> "LE"
+      | Probe_gt -> "GT"
+      | Probe_lt -> "LT"
+    in
+    (match p.ip_source with
+     | Btree_index name ->
+       line "INDEX-PROBE %S mode=%s  (automatic index selection, doc %S)" name
+         mode p.ip_doc
+     | Transient_hash { th_scan; th_key_path } ->
+       line
+         "HASH-PROBE by %s mode=%s  (hash join, built once per statement over \
+          doc(%S)/%s)"
+         (String.concat "/" th_key_path)
+         mode p.ip_doc (schema_steps th_scan));
     line "  key";
     pp ~indent:(indent + 2) buf p.ip_key;
     line "  residual";

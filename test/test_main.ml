@@ -16,6 +16,7 @@ let () =
       ("updates", Test_updates.suite);
       ("session", Test_session.suite);
       ("plan-cache", Test_plan_cache.suite);
+      ("hash-join", Test_hash_join.suite);
       ("metrics", Test_metrics.suite);
       ("write-path", Test_write_path.suite);
       ("baselines", Test_baselines.suite);
